@@ -1,9 +1,16 @@
-"""Legacy shim so `pip install -e .` works without the `wheel` package.
+"""Packaging for the ``repro`` library, whose sources live under ``src/``.
 
-All real metadata lives in pyproject.toml; this file only enables the
-setuptools develop-mode code path on minimal offline environments.
+``pip install -e .`` makes ``import repro`` work without
+``PYTHONPATH=src``; the tests and scripts also run straight from a
+checkout with ``PYTHONPATH=src``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+)

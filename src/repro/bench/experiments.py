@@ -8,7 +8,7 @@ so "what exactly does Table 5 run?" has a single answer in code.
 Budgets encode the scaled-down equivalents of the paper's resource
 limits (32 GB RAM, 24 h): methods whose memory footprint explodes at
 scale get size budgets that trip on the same dataset families where the
-paper reports "—".  See DESIGN.md §3 for the calibration rationale.
+paper reports "—".
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ Scaling: the small suite is ~1/8 of paper scale and the large suite is
 ~1/100 to ~1/1000, but the *ordering* of sizes inside each suite follows
 the paper, so "harder" datasets stay comparatively harder.  The same
 structural drivers (density, depth, degree skew) are preserved, which is
-what the paper's qualitative conclusions rest on.  See DESIGN.md §3.
+what the paper's qualitative conclusions rest on.
 """
 
 from __future__ import annotations

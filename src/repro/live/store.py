@@ -111,7 +111,9 @@ class VersionedArtifactStore:
     loader:
         ``loader(path) -> oracle`` used by :meth:`publish`; defaults to
         :func:`repro.serialization.load_artifact` with ``mmap=True``.
-        The returned oracle only needs ``query``/``query_batch``.
+        The returned oracle only needs ``query``/``query_batch``.  The
+        store unmaps on drain only what its default loader mapped: a
+        custom loader's oracles stay usable by whoever supplied them.
 
     ``publish(path, owns_file=True)`` transfers the file to the store:
     it is unlinked when that epoch drains (the incremental compiler
@@ -122,6 +124,7 @@ class VersionedArtifactStore:
 
     def __init__(self, loader: Optional[Callable[[str], object]] = None) -> None:
         self._loader = loader or _default_loader
+        self._maps = loader is None  # whether drains unmap the oracles
         self._lock = threading.Lock()
         self._entries: Dict[int, _Epoch] = {}
         self._next_epoch = 1
@@ -161,18 +164,17 @@ class VersionedArtifactStore:
         sequence whichever replica answers.  An explicit epoch that is
         not strictly greater than the current one raises ``ValueError``
         and changes nothing: epoch numbers never repeat or go
-        backwards, on replicas exactly as on the primary.
+        backwards, on replicas exactly as on the primary.  Epoch 0 is
+        accepted only as the first epoch of an empty store — the pinned
+        version a static server answers from.
         """
         path = str(path)
         if epoch is not None:
             epoch = int(epoch)
             with self._lock:
-                current = None if self._current is None else self._current.epoch
-                if epoch <= (current or 0):
-                    raise ValueError(
-                        f"explicit epoch {epoch} is not ahead of the "
-                        f"current epoch {current} (epochs are monotone)"
-                    )
+                stale = self._stale_epoch(epoch)
+            if stale is not None:
+                raise ValueError(stale)
         oracle = self._loader(path)  # may raise: store state untouched
         drain: List[_Epoch] = []
         stale: Optional[str] = None
@@ -180,13 +182,8 @@ class VersionedArtifactStore:
             if self._closed:
                 raise RuntimeError("artifact store is closed")
             if epoch is not None:
-                current = None if self._current is None else self._current.epoch
-                if epoch <= (current or 0):  # re-check: publishes raced
-                    stale = (
-                        f"explicit epoch {epoch} is not ahead of the "
-                        f"current epoch {current} (epochs are monotone)"
-                    )
-                else:
+                stale = self._stale_epoch(epoch)  # re-check: publishes raced
+                if stale is None:
                     number = epoch
                     self._next_epoch = max(self._next_epoch, epoch + 1)
             else:
@@ -204,7 +201,7 @@ class VersionedArtifactStore:
                         drain.append(self._entries.pop(previous.epoch))
         if stale is not None:
             # Unmap the version we just loaded but will never serve.
-            art = artifact_of(oracle)
+            art = artifact_of(oracle) if self._maps else None
             del oracle
             if art is not None:
                 art.close()
@@ -217,6 +214,16 @@ class VersionedArtifactStore:
             except Exception:  # pragma: no cover - observers must not fail us
                 pass
         return entry.epoch
+
+    def _stale_epoch(self, epoch: int) -> Optional[str]:
+        """Why an explicit ``epoch`` cannot be published now (lock held)."""
+        current = None if self._current is None else self._current.epoch
+        if epoch > (-1 if current is None else current):
+            return None
+        return (
+            f"explicit epoch {epoch} is not ahead of the current epoch "
+            f"{current} (epochs are monotone)"
+        )
 
     def publish_snapshot(self, path, *, epoch: Optional[int] = None) -> int:
         """Publish a *pinned* copy of ``path`` as the next epoch.
@@ -292,7 +299,7 @@ class VersionedArtifactStore:
     def _drain(self, entry: _Epoch) -> None:
         """Unmap a fully-released retired epoch (and unlink owned files)."""
         oracle, entry.oracle = entry.oracle, None
-        art = artifact_of(oracle)
+        art = artifact_of(oracle) if self._maps else None
         del oracle  # drop the last array references before closing
         if art is not None:
             art.close()
@@ -307,8 +314,10 @@ class VersionedArtifactStore:
     # -- introspection -------------------------------------------------
     @property
     def current_epoch(self) -> Optional[int]:
-        with self._lock:
-            return None if self._current is None else self._current.epoch
+        # Lock-free: one attribute read sees a whole flip or none of it
+        # (this is on every served request's ingress path).
+        current = self._current
+        return None if current is None else current.epoch
 
     @property
     def current_path(self) -> Optional[str]:

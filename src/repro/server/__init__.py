@@ -15,8 +15,8 @@ them to concurrent clients:
   coalesce into one batch for the vectorized engine; a lone request
   falls back to a single scalar query.
 * :mod:`repro.server.service` — :class:`QueryService` (cache →
-  batcher → oracle) with an optional pool of worker processes that
-  each mmap-load the same artifact (one physical copy, per PR 3), and
+  batcher → epoch store) with an optional pool of worker processes
+  that each mmap-load the same artifact (one physical copy), and
   :class:`ReachServer`, the TCP front end.
 * :mod:`repro.server.client` — :class:`ReachClient` plus the
   open-/closed-loop load generator used by the harness and
@@ -27,11 +27,11 @@ Answers are bit-identical to a direct
 batching, caching and worker routing change throughput and latency
 only, never a single answer bit.
 
-Live serving (:mod:`repro.live`) plugs in underneath: a
-:class:`QueryService` built over a versioned artifact store leases one
-epoch per batch (hot swaps are batch-atomic), cache keys carry the
-epoch, and the wire protocol grows ``OP_UPDATE`` (edge insertions into
-a live index) and ``OP_EPOCH`` ops.
+Every :class:`QueryService` answers from a versioned artifact store
+(:mod:`repro.live`) and leases one epoch per batch, so hot swaps are
+batch-atomic and cache keys carry the epoch; a static artifact is the
+store's pinned epoch 0.  Live indexes add the ``OP_UPDATE`` wire op
+(edge insertions), and ``OP_EPOCH`` reports the serving epoch.
 """
 
 from .batching import MicroBatcher

@@ -13,12 +13,12 @@ workloads are almost entirely negative, so a served deployment's hit
 profile is dominated by negatives — worth seeing directly rather than
 inferring.
 
-**Epoch keying.**  A live server's oracle is immutable only *per
-artifact epoch*: the batch APIs take an optional ``epoch`` that is
-folded into every key as ``(epoch, u, v)``.  When the store flips to a
-new epoch, entries cached under the old one simply become unreachable —
-no global flush, no lock sweep — and age out of the LRU under new
-traffic.  ``epoch=None`` (static serving) keeps the bare pair keys.
+**Epoch keying.**  A served oracle is immutable only *per artifact
+epoch*: the batch APIs fold the answering ``epoch`` into every key as
+``(epoch, u, v)`` (a static server answers from epoch 0).  When the
+store flips to a new epoch, entries cached under the old one simply
+become unreachable — no global flush, no lock sweep — and age out of
+the LRU under new traffic.
 
 A ``capacity`` of 0 disables the cache entirely (every lookup is a
 pass-through miss that is not counted); the service uses that for
@@ -28,7 +28,6 @@ benchmark runs that must measure the raw query path.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -77,28 +76,6 @@ class ShardedLRUCache:
         per_shard = (capacity + n_shards - 1) // n_shards
         self._shards = [_Shard(per_shard) for _ in range(n_shards)]
         self.capacity = per_shard * n_shards if capacity else 0
-        self._lookup_hist = None
-        self._lookup_tick = 0
-
-    #: Only every K-th bound lookup is clocked (observed with weight K)
-    #: — lookups are the densest path in the server, and two extra
-    #: ``perf_counter_ns`` calls per request would cost more than the
-    #: lookups themselves on small batches.
-    LOOKUP_SAMPLE_EVERY = 8
-
-    def bind_metrics(self, registry) -> None:
-        """Record batch-lookup latency into a telemetry registry.
-
-        Hit/miss/eviction counters stay in the shards (they are already
-        cheap and exact); the histogram adds the one thing counters
-        cannot show — how long ``get_many`` actually takes as shard
-        contention grows.  Unbound caches skip even the sampling tick.
-        """
-        self._lookup_hist = registry.histogram(
-            "repro_cache_lookup_seconds",
-            "wall time of one batched cache lookup (get_many), "
-            "1-in-%d sampled" % self.LOOKUP_SAMPLE_EVERY,
-        )
 
     @property
     def enabled(self) -> bool:
@@ -150,17 +127,8 @@ class ShardedLRUCache:
             groups.setdefault(hash(key) & mask, []).append(i)
         return groups
 
-    @staticmethod
-    def _keys_for(
-        pairs: Sequence[Tuple[int, int]], epoch: Optional[int]
-    ) -> Sequence[Hashable]:
-        """Pair keys, prefixed with the artifact epoch when serving live."""
-        if epoch is None:
-            return pairs
-        return [(epoch, u, v) for u, v in pairs]
-
     def get_many(
-        self, pairs: Sequence[Tuple[int, int]], epoch: Optional[int] = None
+        self, pairs: Sequence[Tuple[int, int]], epoch: int
     ) -> Tuple[List[Optional[bool]], List[int]]:
         """Look up a workload, taking each shard lock once per batch.
 
@@ -172,13 +140,7 @@ class ShardedLRUCache:
         """
         if not self.capacity:
             return [None] * len(pairs), list(range(len(pairs)))
-        hist = self._lookup_hist
-        if hist is not None:
-            self._lookup_tick = n = self._lookup_tick + 1  # unlocked: see Telemetry
-            if n % self.LOOKUP_SAMPLE_EVERY:
-                hist = None
-        t0 = time.perf_counter_ns() if hist is not None else 0
-        keys = self._keys_for(pairs, epoch)
+        keys = [(epoch, u, v) for u, v in pairs]
         answers: List[Optional[bool]] = [None] * len(pairs)
         for shard_idx, positions in self._group_by_shard(keys).items():
             shard = self._shards[shard_idx]
@@ -196,17 +158,13 @@ class ShardedLRUCache:
                         shard.negative_hits += 1
                     answers[i] = value
         missing = [i for i, a in enumerate(answers) if a is None]
-        if hist is not None:
-            hist.observe_ns(
-                time.perf_counter_ns() - t0, self.LOOKUP_SAMPLE_EVERY
-            )
         return answers, missing
 
     def put_many(
         self,
         pairs: Sequence[Tuple[int, int]],
         answers: Sequence[bool],
-        epoch: Optional[int] = None,
+        epoch: int,
     ) -> None:
         """Insert a batch of fresh oracle answers (one lock per shard).
 
@@ -216,7 +174,7 @@ class ShardedLRUCache:
         """
         if not self.capacity:
             return
-        keys = self._keys_for(pairs, epoch)
+        keys = [(epoch, u, v) for u, v in pairs]
         for shard_idx, positions in self._group_by_shard(keys).items():
             shard = self._shards[shard_idx]
             with shard.lock:

@@ -47,6 +47,9 @@ class ReachClient:
     Deadlines: ``connect_timeout`` bounds connection establishment,
     ``timeout`` bounds each request round-trip (both default 30 s; a
     hung server raises ``socket.timeout`` instead of blocking forever).
+    The client dials eagerly: a first dial that is refused, times out
+    or fails otherwise raises ``ConnectionError`` from the constructor
+    (chained to the socket error).
 
     Transient socket failures — a RST from a restarting server, an
     idle-connection drop, a frame cut mid-stream — do not surface for
@@ -93,7 +96,14 @@ class ReachClient:
         self._reconnects = 0
         self._sock: Optional[socket.socket] = None
         self._reader: Optional[proto.FrameReader] = None
-        self._connect()
+        try:
+            self._connect()
+        except ConnectionError:
+            raise
+        except OSError as exc:  # a timed-out or unroutable first dial
+            raise ConnectionError(
+                f"cannot connect to {host}:{port}: {exc!r}"
+            ) from exc
 
     def _connect(self) -> None:
         sock = socket.create_connection(
@@ -226,7 +236,8 @@ class ReachClient:
         return json.loads(payload.decode("utf-8"))
 
     def epoch(self) -> int:
-        """The artifact epoch currently serving (0 = static server)."""
+        """The artifact epoch currently serving (0 = a static server, or
+        a blank one with nothing published yet)."""
         _, payload = self._roundtrip(proto.OP_EPOCH)
         return proto.decode_epoch(payload)
 
@@ -326,9 +337,13 @@ class LoadReport:
     wall_s: float
     qps: float
     latency_ms: Dict[str, float] = field(default_factory=dict)
+    #: Requests that got no answer: error replies plus requests that
+    #: got no reply at all (a dropped reply, a cut connection).
     errors: int = 0
     first_error: str = ""
-    answers: List[bool] = field(default_factory=list)
+    #: Answers in workload order; ``None`` marks every pair whose
+    #: request was not answered — a failure is never filled in.
+    answers: List[Optional[bool]] = field(default_factory=list)
     #: Per-request ``(completion_stamp, latency_s)`` samples, in
     #: ``time.perf_counter`` coordinates; filled only when
     #: :func:`run_load` is called with ``keep_samples=True``.  This is
@@ -338,7 +353,7 @@ class LoadReport:
 
     @property
     def positives(self) -> int:
-        return sum(self.answers)
+        return sum(1 for answer in self.answers if answer)
 
     def summary(self) -> str:
         lat = self.latency_ms
@@ -413,8 +428,7 @@ class _LoadConnection:
                 self._send_closed()
             else:
                 self._send_open()
-        except OSError as exc:
-            self.errors += 1
+        except OSError as exc:  # the unsent requests count as unanswered
             self.first_error = self.first_error or f"send failed: {exc!r}"
             self._all_done.set()
 
@@ -491,7 +505,7 @@ class _LoadConnection:
                 if self.mode == "closed":
                     self._outstanding.release()
         except (OSError, ConnectionError, proto.ProtocolError) as exc:
-            self.errors += 1
+            # The requests still in flight count as unanswered.
             self.first_error = self.first_error or repr(exc)
         finally:
             # Unblock a sender parked on the pipeline semaphore (it
@@ -607,9 +621,19 @@ def run_load(
     # immune to thread start-up stagger on tiny runs.
     wall = (last_recv - first_send) if first_send and last_recv else 0.0
 
-    answers: List[bool] = []
+    answers: List[Optional[bool]] = []
+    unanswered = 0
     for request_id, _frame, n in requests:
-        answers.extend(answers_by_id.get(request_id, [False] * n))
+        got = answers_by_id.get(request_id)
+        answers.extend([None] * n if got is None else got)
+        unanswered += got is None
+    # Error replies were counted as they arrived; add the requests that
+    # got no reply at all.
+    silent = unanswered - errors
+    if silent > 0:
+        errors += silent
+        detail = f"{silent} request(s) got no reply"
+        first_error = f"{detail}: {first_error}" if first_error else detail
 
     pct = percentiles(latencies)
     return LoadReport(

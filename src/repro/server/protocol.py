@@ -334,12 +334,16 @@ _EPOCH = struct.Struct("<Q")
 
 
 def encode_epoch(epoch: Optional[int]) -> bytes:
-    """``OP_EPOCH_REPLY`` payload: the epoch as u64 (0 = static server)."""
+    """``OP_EPOCH_REPLY`` payload: the epoch as u64.
+
+    0 means a static server (its one pinned epoch) or one with nothing
+    published yet (``None``)."""
     return _EPOCH.pack(0 if epoch is None else int(epoch))
 
 
 def decode_epoch(payload: bytes) -> int:
-    """Parse an ``OP_EPOCH_REPLY`` payload (0 means static serving)."""
+    """Parse an ``OP_EPOCH_REPLY`` payload (0 means a static or
+    not-yet-published server)."""
     if len(payload) != _EPOCH.size:
         raise ProtocolError(
             f"epoch payload is {len(payload)} bytes, expected {_EPOCH.size}"

@@ -1,17 +1,18 @@
-"""The query service: cache → micro-batcher → oracle (or worker pool).
+"""The query service: cache → micro-batcher → epoch store (or worker pool).
 
 Topology
 --------
 ::
 
     clients ──TCP──▶ ReachServer ──▶ QueryService
-                                        │  cache (sharded LRU)
+                                        │  cache (sharded LRU, epoch-keyed)
                                         │  MicroBatcher (≤ window_s)
+                                        │  one epoch lease per batch
                                         ▼
-                       workers == 0: in-process CompiledOracle
+                       workers == 0: the leased epoch's oracle, in-process
                        workers  > 0: WorkerPool — N processes, each
-                                     mmap-loading the SAME artifact
-                                     (one physical copy, per PR 3)
+                                     mmap-loading the leased epoch's
+                                     file (one physical copy)
 
 Every batch is answered by ``query_batch`` on a compiled oracle (the
 staged vectorized engine underneath), singletons by scalar ``query`` —
@@ -45,6 +46,9 @@ __all__ = ["QueryService", "WorkerPool", "ReachServer", "HttpFrontend", "serve_a
 
 Pair = Tuple[int, int]
 
+#: Independent LRU shards in the service's result cache.
+CACHE_SHARDS = 8
+
 
 # ----------------------------------------------------------------------
 # Worker pool
@@ -61,15 +65,19 @@ def _close_oracle_artifact(oracle) -> None:
             pass
 
 
+#: What a worker's poll yields when its semaphore token had no task
+#: behind it (see :func:`_worker_main`); ``None`` is the exit sentinel.
+_NO_TASK = object()
+
+
 def _worker_main(
-    artifact_path: str,
-    initial_epoch: int,
     tasks,
     results,
     task_sem,
-    lazy: bool = False,
+    path: Optional[str] = None,
+    epoch: Optional[int] = None,
 ) -> None:
-    """Worker process: mmap-load the artifact, answer batches forever.
+    """Worker process: answer batches forever, each from its leased epoch.
 
     Messages in: ``(batch_id, epoch, path, payload)`` with the wire
     pair encoding, or ``None`` to exit.  Messages out:
@@ -80,30 +88,22 @@ def _worker_main(
     holding, so a SIGKILLed worker fails exactly that batch instead of
     hanging it forever.
 
-    Epoch-aware serving: static pools dispatch epoch 0 forever and the
-    startup artifact serves every batch; a versioned pool dispatches
-    each batch with its leased ``(epoch, path)``, and a task carrying a
-    *different* epoch than the one currently mapped makes the worker
+    Every task carries its batch's leased ``(epoch, path)``; a task of
+    a *different* epoch than the one currently mapped makes the worker
     load that version's file before answering (the retired mapping is
     closed) — each worker picks up a hot swap on its first batch of the
     new epoch, with no coordination message and no idle reload churn.
     The parent holds the batch's epoch lease until the reply arrives,
     which is what keeps the file mappable here.
 
-    ``lazy=True`` (respawned workers) skips the startup load: the
-    startup path may already have drained from a versioned store, so
-    the replacement maps whichever file its first task leases instead
-    (falling back to ``artifact_path`` for static pools, whose file the
-    store never owns).
+    Startup workers pre-map ``(path, epoch)`` so the pool is warm before
+    traffic arrives; respawned replacements pass neither (the startup
+    epoch may have drained) and map whatever their first task leases.
     """
     from ..serialization import load_artifact
 
-    if lazy:
-        oracle = None
-        current_epoch: Optional[int] = None
-    else:
-        oracle = load_artifact(artifact_path, mmap=True)
-        current_epoch = initial_epoch
+    oracle = None if path is None else load_artifact(path, mmap=True)
+    current_epoch = epoch
     import queue as _queue
 
     results.put(("ready", os.getpid()))
@@ -130,7 +130,6 @@ def _worker_main(
         # for a generous deadline before concluding the token had no
         # task behind it.
         task_sem.acquire()
-        task = None
         deadline = time.monotonic() + 1.0
         while True:
             try:
@@ -138,16 +137,17 @@ def _worker_main(
                 break
             except _queue.Empty:
                 if time.monotonic() >= deadline:
-                    break  # a compensating token with no task behind it
-        if task is None:
+                    task = _NO_TASK  # a compensating token, no task behind it
+                    break
+        if task is None:  # close()'s exit sentinel
+            return
+        if task is _NO_TASK:
             continue
-        if task is None:
-            break
         batch_id, epoch, path, payload = task
         results.put(("start", batch_id, pid))
         try:
             if oracle is None or epoch != current_epoch:
-                fresh = load_artifact(path or artifact_path, mmap=True)
+                fresh = load_artifact(path, mmap=True)
                 if oracle is not None:
                     _close_oracle_artifact(oracle)
                 oracle = fresh
@@ -180,6 +180,9 @@ class WorkerPool:
     and a replacement worker is respawned to keep the pool at full
     strength.  Respawned workers load lazily from their first task's
     leased path (the original startup file may have drained).
+
+    ``artifact_path`` and ``initial_epoch`` name the epoch the workers
+    pre-map at startup; the caller holds its lease until the pool is up.
     """
 
     #: Result-queue poll slice; also the upper bound on how long a dead
@@ -190,16 +193,16 @@ class WorkerPool:
         self,
         artifact_path: str,
         workers: int,
+        *,
+        initial_epoch: int,
         start_timeout: float = 60.0,
-        initial_epoch: int = 0,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         import multiprocessing as mp
 
-        self.artifact_path = str(artifact_path)
+        artifact_path = str(artifact_path)
         self.workers = workers
-        self.initial_epoch = initial_epoch
         try:
             ctx = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX hosts
@@ -225,11 +228,11 @@ class WorkerPool:
             ctx.Process(
                 target=_worker_main,
                 args=(
-                    self.artifact_path,
-                    initial_epoch,
                     self._tasks,
                     self._results,
                     self._task_sem,
+                    artifact_path,
+                    initial_epoch,
                 ),
                 daemon=True,
                 name=f"repro-serve-worker-{i}",
@@ -264,7 +267,7 @@ class WorkerPool:
                 self.close()
                 raise RuntimeError(
                     f"{len(dead)} worker(s) died loading "
-                    f"{self.artifact_path!r} before reporting ready "
+                    f"{artifact_path!r} before reporting ready "
                     f"({ready}/{workers} ready)"
                 ) from None
             if msg[0] == "ready":
@@ -275,31 +278,26 @@ class WorkerPool:
         self._reader.start()
 
     # -- dispatch ------------------------------------------------------
-    def dispatch(self, batch: Batch, lease=None) -> None:
+    def dispatch(self, batch: Batch, lease) -> None:
         """Queue a batch; the reader thread resolves it on completion.
 
-        ``lease`` (live serving) pins one artifact epoch for the whole
-        batch: its ``(epoch, path)`` ride the task so the worker maps
-        the right version, and the lease is released only once the
-        batch resolves — which is what keeps the epoch's file on disk
-        until every worker that needs it has mapped it.
+        ``lease`` pins one artifact epoch for the whole batch: its
+        ``(epoch, path)`` ride the task so the worker maps the right
+        version, and the lease is released only once the batch
+        resolves — which is what keeps the epoch's file on disk until
+        every worker that needs it has mapped it.
         """
         payload = proto.encode_pairs(batch.pairs)
-        if lease is None:
-            epoch, path = 0, ""
-        else:
-            epoch, path = lease.epoch, lease.path
         with self._lock:
             if self._closed:
-                if lease is not None:
-                    lease.release()
+                lease.release()
                 batch.fail(RuntimeError("worker pool closed"))
                 return
             batch_id = self._next_id
             self._next_id += 1
             self._pending[batch_id] = (batch, lease)
             self._dispatched += 1
-        self._tasks.put((batch_id, epoch, path, payload))
+        self._tasks.put((batch_id, lease.epoch, lease.path, payload))
         self._task_sem.release()
 
     def _read_results(self) -> None:
@@ -337,17 +335,13 @@ class WorkerPool:
             batch, lease = entry
             try:
                 if kind == "ok":
-                    batch.resolve(
-                        proto.decode_answers(payload),
-                        epoch=None if lease is None else lease.epoch,
-                    )
+                    batch.resolve(proto.decode_answers(payload), epoch=lease.epoch)
                 else:
                     with self._lock:
                         self._errors += 1
                     batch.fail(RuntimeError(f"worker failed: {payload}"))
             finally:
-                if lease is not None:
-                    lease.release()
+                lease.release()
 
     def _reap_dead_workers(self) -> None:
         """Fail dead workers' announced batches; respawn replacements.
@@ -391,14 +385,8 @@ class WorkerPool:
                 self._spawn_seq += 1
                 replacement = self._ctx.Process(
                     target=_worker_main,
-                    args=(
-                        self.artifact_path,
-                        self.initial_epoch,
-                        self._tasks,
-                        self._results,
-                        self._task_sem,
-                        True,  # lazy: the startup file may have drained
-                    ),
+                    # No startup epoch: it may have drained by now.
+                    args=(self._tasks, self._results, self._task_sem),
                     daemon=True,
                     name=name,
                 )
@@ -411,8 +399,7 @@ class WorkerPool:
             self._task_sem.release()
             if entry is not None:
                 batch, lease = entry
-                if lease is not None:
-                    lease.release()
+                lease.release()
                 batch.fail(
                     RuntimeError(
                         f"worker process (pid {pid}, exit code "
@@ -433,8 +420,7 @@ class WorkerPool:
             self._pending.clear()
             self._active.clear()
         for batch, lease in pending:
-            if lease is not None:
-                lease.release()
+            lease.release()
             batch.fail(RuntimeError("worker pool closed"))
         for _ in self._procs:
             self._tasks.put(None)
@@ -514,36 +500,35 @@ def _memory_dedupe_updater(apply_updates):
 
 
 class QueryService:
-    """Cache → batcher → oracle; the answer path shared by all frontends.
+    """Cache → batcher → one epoch store; the answer path of every frontend.
 
-    Exactly one of ``artifact_path`` / ``oracle`` / ``store`` / ``live``
-    picks the answer source:
+    Every answer comes from one
+    :class:`repro.live.VersionedArtifactStore`: each batch leases the
+    store's current epoch and is answered by that version alone, and
+    cache keys carry the epoch, so a hot swap published into the store
+    takes effect batch-atomically, never serves a stale cached answer
+    and never needs a flush.  Worker pools ride the same lease: its
+    ``(epoch, path)`` travels with each task.
 
-    * ``artifact_path`` — a static artifact file (loaded in-process, or
-      mmap-loaded by each worker when ``workers > 0``).
-    * ``oracle`` — a live in-process oracle (``workers == 0`` only).
-    * ``store`` — a :class:`repro.live.VersionedArtifactStore`: every
-      batch leases the store's current epoch, so hot swaps published
-      into the store take effect batch-atomically.  Works with worker
-      pools (the lease's epoch + path ride each task).
-    * ``live`` — a :class:`repro.live.LiveIndex`: its store serves as
-      above *and* its update path is mounted as :attr:`updater`, which
-      the TCP front end exposes as the ``OP_UPDATE`` /
-      ``OP_UPDATE_SEQ`` wire ops (sequenced updates dedupe through an
-      in-memory window — idempotency holds for the server's lifetime
-      but not across a restart).
-    * ``primary`` — a :class:`repro.durability.JournaledPrimary`: its
-      live index serves, and :attr:`updater` is the *journaled* update
-      path — the ack implies the batch is on disk, and the dedupe
-      window itself is persisted, so sequenced re-sends stay idempotent
-      across a crash + recovery.
+    Pass exactly one source.  A ``store`` is served as it is published
+    to.  A static ``artifact_path`` or an in-process ``oracle``
+    (``workers == 0`` only) is published once into a private store as
+    the pinned **epoch 0**, so ``OP_EPOCH`` answers 0; the caller's
+    oracle is never unmapped.  ``live`` (a
+    :class:`repro.live.LiveIndex`) and ``primary`` (a
+    :class:`repro.durability.JournaledPrimary`) serve their store and
+    mount their update path as :attr:`updater`, the wire ``OP_UPDATE``
+    / ``OP_UPDATE_SEQ``: a live index dedupes sequenced re-sends in
+    memory for the server's lifetime, a journaled primary acks only
+    once the batch is on disk and persists its dedupe window across a
+    crash.
 
     ``window_s`` is the micro-batching window (0 disables coalescing)
     and ``adaptive_window`` lets it shrink under low arrival rate;
-    ``cache_size`` the LRU entry budget (0 disables the cache) — in
-    versioned modes cache keys carry the epoch, so a swap never serves
-    a stale cached answer and never needs a flush.  ``owns_store``
-    makes :meth:`close` close the store/live index too.
+    ``cache_size`` the LRU entry budget (0 disables the cache).
+    ``owns_store`` makes :meth:`close` close a ``store`` / ``live`` /
+    ``primary`` source too; the private store behind ``artifact_path``
+    or ``oracle`` is always closed.
 
     ``allow_empty_store`` lets :meth:`start` succeed on a store with no
     published epoch — the shape of a blank replica waiting for its
@@ -566,7 +551,6 @@ class QueryService:
         adaptive_window: bool = False,
         max_batch: int = 65536,
         cache_size: int = 65536,
-        cache_shards: int = 8,
         owns_store: bool = False,
         allow_empty_store: bool = False,
         telemetry=True,
@@ -579,43 +563,49 @@ class QueryService:
                 "pass exactly one of artifact_path / oracle / store / live "
                 "/ primary"
             )
-        self._primary = primary
-        if primary is not None:
-            self._live = primary.live
-            self._store = primary.live.store
-            self.updater = primary.apply_update
-        elif live is not None:
-            self._live = live
-            self._store = live.store
-            self.updater = _memory_dedupe_updater(live.apply_updates)
-        else:
-            self._live = None
-            self._store = store
-            #: ``updater(edges, *, client=None, seq=None) -> summary``
-            #: for the wire ``OP_UPDATE`` / ``OP_UPDATE_SEQ``; None on
-            #: servers without an update path.
-            self.updater = None
-        if workers > 0 and artifact_path is None and self._store is None:
+        if workers > 0 and oracle is not None:
             raise ValueError(
                 "worker processes mmap-load the artifact themselves; "
                 "serving a live oracle requires workers=0 (or save it "
                 "to an artifact first)"
             )
-        if allow_empty_store:
-            if self._store is None:
-                raise ValueError("allow_empty_store requires a store/live source")
-            if workers > 0:
-                raise ValueError(
-                    "allow_empty_store requires workers=0: a pool has "
-                    "no artifact to map until an epoch is published"
-                )
+        if allow_empty_store and workers > 0:
+            raise ValueError(
+                "allow_empty_store requires workers=0: a pool has "
+                "no artifact to map until an epoch is published"
+            )
+        #: ``updater(edges, *, client=None, seq=None) -> summary`` for
+        #: the wire ``OP_UPDATE`` / ``OP_UPDATE_SEQ``; None on servers
+        #: without an update path.
+        self.updater = None
+        self._primary = primary
+        self._live = live
+        owner = store
+        if primary is not None:
+            owner, self._live = primary, primary.live
+            self.updater = primary.apply_update
+        elif live is not None:
+            owner = live
+            self.updater = _memory_dedupe_updater(live.apply_updates)
+        elif store is None:
+            from ..live import VersionedArtifactStore
+
+            # A static source is one pinned epoch 0.  A store given a
+            # loader never unmaps what that loader returns, so the
+            # caller's oracle outlives this service.
+            owner = store = VersionedArtifactStore(
+                None if oracle is None else (lambda _path: oracle)
+            )
+            store.publish(artifact_path or "", epoch=0)
+            owns_store = True
+        self._store = store if self._live is None else self._live.store
+        #: What :meth:`close` shuts down, when the service owns it.
+        self._owned = owner if owns_store else None
         self.allow_empty_store = allow_empty_store
         self.artifact_path = None if artifact_path is None else str(artifact_path)
         self.workers = workers
         self.window_s = window_s
-        self.cache = ShardedLRUCache(cache_size, shards=cache_shards)
-        self._oracle = oracle
-        self._owns_store = owns_store
+        self.cache = ShardedLRUCache(cache_size, shards=CACHE_SHARDS)
         self._pool: Optional[WorkerPool] = None
         self._batcher = MicroBatcher(
             self._route,
@@ -630,8 +620,10 @@ class QueryService:
         self._requests = 0
         self._pairs_in = 0
         self._singles = 0
-        self._bound: Optional[int] = None
         self._epoch_bounds: Dict[int, int] = {}
+        #: Largest bound any request was validated against; a batch
+        #: leasing an epoch with a smaller bound re-checks its pairs.
+        self._max_bound = 0
         self._store_error = ""
         #: The service's observability bundle (``telemetry=True`` builds
         #: a fresh :class:`repro.telemetry.Telemetry`; ``False`` turns
@@ -675,7 +667,7 @@ class QueryService:
             )
             registry.gauge(
                 "repro_epoch",
-                "artifact epoch currently serving (0 = static)",
+                "artifact epoch currently serving (0 = static or unpublished)",
                 fn=lambda: self.current_epoch or 0,
             )
             registry.gauge(
@@ -685,10 +677,8 @@ class QueryService:
                     time.monotonic() - self._started_at if self._started_at else 0.0
                 ),
             )
-            # The cache-lookup histogram is observed *here* rather
-            # than via ``cache.bind_metrics`` so the lookup is only
-            # clocked on sampled requests and the cache's own hot path
-            # stays identical with telemetry on or off.
+            # Clocked here, on sampled requests only, so the cache's
+            # own hot path is identical with telemetry on or off.
             self._cache_hist = registry.histogram(
                 "repro_cache_lookup_seconds",
                 "wall time of one batched cache lookup (get_many), "
@@ -714,31 +704,16 @@ class QueryService:
     def start(self) -> "QueryService":
         if self._started:
             return self
-        if self._store is not None:
-            if self._store.current_epoch is None and not self.allow_empty_store:
-                raise RuntimeError("the artifact store has no published epoch")
-            if self.workers > 0:
-                # Lease the epoch across pool startup so a concurrent
-                # publish cannot drain (and unlink) the file the
-                # workers are busy mapping.
-                with self._store.acquire() as lease:
-                    self._pool = WorkerPool(
-                        lease.path, self.workers, initial_epoch=lease.epoch
-                    )
-        elif self.workers > 0:
-            self._pool = WorkerPool(self.artifact_path, self.workers)
-        elif self._oracle is None:
-            from ..serialization import load_artifact
-
-            self._oracle = load_artifact(self.artifact_path, mmap=True)
-        if self._oracle is not None:
-            self._bound = _oracle_bound(self._oracle)
-        elif self._store is None:
-            # Workers own the oracle; read the bound from the header.
-            from ..serialization import artifact_info
-
-            meta = artifact_info(self.artifact_path)["meta"]
-            self._bound = int(meta.get("original_n") or meta.get("n"))
+        if self._store.current_epoch is None and not self.allow_empty_store:
+            raise RuntimeError("the artifact store has no published epoch")
+        if self.workers > 0:
+            # Lease the epoch across pool startup so a concurrent
+            # publish cannot drain (and unlink) the file the workers
+            # are busy mapping.
+            with self._store.acquire() as lease:
+                self._pool = WorkerPool(
+                    lease.path, self.workers, initial_epoch=lease.epoch
+                )
         self._batcher.start()
         self._started = True
         self._started_at = time.monotonic()
@@ -752,13 +727,8 @@ class QueryService:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        if self._owns_store:
-            if self._primary is not None:
-                self._primary.close()
-            elif self._live is not None:
-                self._live.close()
-            elif self._store is not None:
-                self._store.close()
+        if self._owned is not None:
+            self._owned.close()
 
     def __enter__(self) -> "QueryService":
         return self.start()
@@ -769,8 +739,9 @@ class QueryService:
     # -- the answer path -----------------------------------------------
     @property
     def current_epoch(self) -> Optional[int]:
-        """The serving artifact epoch (None for static sources)."""
-        return None if self._store is None else self._store.current_epoch
+        """The serving artifact epoch: 0 for a static artifact or
+        in-process oracle, None before a blank store's first publish."""
+        return self._store.current_epoch
 
     def _bound_for(self, lease) -> int:
         """Memoized vertex-id bound of one leased epoch (the single
@@ -778,101 +749,100 @@ class QueryService:
         bound = self._epoch_bounds.get(lease.epoch)
         if bound is None:
             bound = _oracle_bound(lease.oracle)
-            # Tiny monotone map (one entry per published epoch); prune
-            # so a long-lived server doesn't grow one int per publish.
-            if len(self._epoch_bounds) > 8:
-                self._epoch_bounds.clear()
-            self._epoch_bounds[lease.epoch] = bound
+            with self._stat_lock:
+                # Tiny map (one entry per published epoch); prune so a
+                # long-lived server doesn't grow one int per publish.
+                if len(self._epoch_bounds) > 8:
+                    self._epoch_bounds.clear()
+                self._epoch_bounds[lease.epoch] = bound
+                self._max_bound = max(self._max_bound, bound)
         return bound
 
     def _epoch_and_bound(self) -> Tuple[Optional[int], Optional[int]]:
         """One consistent ``(epoch, bound)`` snapshot for a request.
 
-        Taken under a single lease: epoch and oracle must come from the
-        SAME version (separate current_epoch/current_oracle reads could
-        straddle a publish and cache the new oracle's bound under the
-        old epoch key).  ``(None, None)`` only when a versioned store
-        is unavailable — closed mid-request, or nothing published yet
-        on a blank replica; the store's own message lands in
-        ``_store_error`` and callers turn it into a clean error, never
-        compare ids against it.
+        An epoch's bound never changes, so the current epoch number and
+        its memoized bound agree without a lease.  Only a memo miss
+        leases, and then takes both values from that one lease: separate
+        current_epoch/current_oracle reads could straddle a publish and
+        memoize the new oracle's bound under the old epoch.
+        ``(None, None)`` only when the store is unavailable — closed
+        mid-request, or nothing published yet on a blank replica; the
+        store's own message lands in ``_store_error`` and callers turn
+        it into a clean error, never compare ids against it.
         """
-        if self._store is None:
-            return None, self._bound
+        epoch = self._store.current_epoch
+        bound = self._epoch_bounds.get(epoch)
+        if bound is not None:
+            return epoch, bound
         try:
             lease = self._store.acquire()
         except RuntimeError as exc:  # closed, or no epoch yet (blank replica)
             self._store_error = str(exc)
             return None, None
-        try:
+        with lease:
             return lease.epoch, self._bound_for(lease)
-        finally:
-            lease.release()
-
-    def _current_bound(self) -> Optional[int]:
-        """Vertex-id bound of whatever will answer the next batch."""
-        return self._epoch_and_bound()[1]
 
     def _route(self, batch: Batch) -> None:
-        """Batcher dispatch target: pool when present, else in-process.
+        """Batcher dispatch target: lease an epoch, answer in the pool
+        or in-process.
 
-        Versioned sources lease the store's current epoch here — one
-        lease per batch, released when the batch resolves — so every
+        One lease per batch, released when the batch resolves, so every
         answer in a batch comes from exactly one artifact version.
         """
         if batch.singleton:
             with self._stat_lock:
                 self._singles += 1
-        lease = None
-        if self._store is not None:
-            try:
-                lease = self._store.acquire()
-            except Exception as exc:
-                batch.fail(exc)
-                return
-            # Ingress validated against the *submission* epoch's bound;
-            # if a swap to a smaller graph flipped in between, catch it
-            # here with a clear error instead of letting the oracle
-            # index out of range (which would surface as an opaque
-            # worker/engine exception).  Only the requests that carry
-            # an out-of-range pair fail — innocent requests coalesced
-            # into the same batch are re-batched and answered normally.
-            bound = self._bound_for(lease)
-            if any(u >= bound or v >= bound for u, v in batch.pairs):
-                bad = [
-                    req
-                    for req in batch.requests
-                    if any(u >= bound or v >= bound for u, v in req.pairs)
-                ]
-                good = [req for req in batch.requests if req not in bad]
-                Batch(bad).fail(
-                    ValueError(
-                        f"request contains a vertex pair out of range for "
-                        f"n={bound}: the served artifact changed to a "
-                        f"smaller graph (epoch {lease.epoch}) after the "
-                        "request was validated"
-                    )
+        try:
+            lease = self._store.acquire()
+        except Exception as exc:
+            batch.fail(exc)
+            return
+        bound = self._bound_for(lease)
+        # Ingress validated against the *submission* epoch's bound; if
+        # a swap to a smaller graph flipped in between, catch it here
+        # with a clear error instead of letting the oracle index out of
+        # range (which would surface as an opaque worker/engine
+        # exception).  Only the requests that carry an out-of-range
+        # pair fail — innocent requests coalesced into the same batch
+        # are re-batched and answered normally.  No pair can exceed a
+        # bound at least as large as every validated one, so the scan
+        # only runs after such a shrink.
+        if bound < self._max_bound and any(
+            u >= bound or v >= bound for u, v in batch.pairs
+        ):
+            bad = [
+                req
+                for req in batch.requests
+                if any(u >= bound or v >= bound for u, v in req.pairs)
+            ]
+            good = [req for req in batch.requests if req not in bad]
+            Batch(bad).fail(
+                ValueError(
+                    f"request contains a vertex pair out of range for "
+                    f"n={bound}: the served artifact changed to a "
+                    f"smaller graph (epoch {lease.epoch}) after the "
+                    "request was validated"
                 )
-                if not good:
-                    lease.release()
-                    return
-                batch = Batch(good)
+            )
+            if not good:
+                lease.release()
+                return
+            batch = Batch(good)
         if self._pool is not None:
             self._pool.dispatch(batch, lease)
             return
         try:
-            oracle = self._oracle if lease is None else lease.oracle
             if batch.singleton:
                 u, v = batch.pairs[0]
-                answers = [bool(oracle.query(u, v))]
+                answers = [bool(lease.oracle.query(u, v))]
             else:
-                answers = oracle.query_batch(batch.pairs)
-            batch.resolve(answers, epoch=None if lease is None else lease.epoch)
+                answers = lease.oracle.query_batch(batch.pairs)
+            batch.resolve(answers, epoch=lease.epoch)
         except Exception as exc:
             batch.fail(exc)
         finally:
-            if lease is not None:
-                lease.release()
+            lease.release()
 
     def query_pairs_async(
         self,
@@ -985,7 +955,6 @@ class QueryService:
         # snapshot above); writes (in on_done) use the epoch that
         # actually answered the batch.  Both are correct for their own
         # version — entries never cross epochs.
-        versioned = self._store is not None
         if lat_weight or trace is not None:
             c0 = time.perf_counter_ns()
             cached, missing = self.cache.get_many(pairs, epoch=epoch)
@@ -1010,12 +979,8 @@ class QueryService:
                     req_errors.inc()
                 callback(None, req.error)
                 return
-            self.cache.put_many(
-                missing_pairs,
-                req.answers,
-                epoch=req.epoch if versioned else None,
-            )
-            if versioned and had_hits and req.epoch != epoch:
+            self.cache.put_many(missing_pairs, req.answers, epoch=req.epoch)
+            if had_hits and req.epoch != epoch:
                 # A publish landed between the cache read (epoch) and
                 # the batch lease (req.epoch): combining them would mix
                 # versions inside one reply.  Re-ask the *whole* request
@@ -1077,15 +1042,12 @@ class QueryService:
         """
         with self._stat_lock:
             requests, pairs_in, singles = self._requests, self._pairs_in, self._singles
-        artifact = self.artifact_path
-        if artifact is None and self._store is not None:
-            artifact = self._store.current_path
         doc = {
             "stats_version": 2,
-            "artifact": artifact,
+            "artifact": None,
             "workers": self.workers,
-            "n": self._current_bound(),
-            "epoch": self.current_epoch,
+            "n": None,
+            "epoch": None,
             "uptime_s": (
                 time.monotonic() - self._started_at if self._started_at else 0.0
             ),
@@ -1111,10 +1073,22 @@ class QueryService:
             subsection("durability", self._primary.stats)
         if self._live is not None:
             subsection("live", self._live.stats)
-        elif self._store is not None:
+        else:
             subsection("store", self._store.stats)
-        if self._oracle is not None and hasattr(self._oracle, "stats"):
-            subsection("oracle", self._oracle.stats)
+        try:
+            lease = self._store.acquire()
+        except RuntimeError:  # closed, or nothing published yet
+            pass
+        else:
+            # One lease describes one version: path, bound and oracle.
+            with lease:
+                doc.update(
+                    artifact=lease.path or None,
+                    n=self._bound_for(lease),
+                    epoch=lease.epoch,
+                )
+                if hasattr(lease.oracle, "stats"):
+                    subsection("oracle", lease.oracle.stats)
         if degraded:
             doc["degraded"] = degraded
         if self.telemetry is not None:
@@ -1677,6 +1651,7 @@ def serve_artifact(
     ``allow_shutdown=None`` (default) honours the unauthenticated
     shutdown frame only on loopback hosts.
     """
+    source = {"artifact_path": artifact_path}
     watcher = None
     if watch:
         from ..live import ArtifactWatcher, VersionedArtifactStore
@@ -1694,26 +1669,16 @@ def serve_artifact(
             watcher.close()
             store.close()
             raise
-        service = QueryService(
-            store=store,
-            workers=workers,
-            window_s=window_s,
-            adaptive_window=adaptive_window,
-            max_batch=max_batch,
-            cache_size=cache_size,
-            owns_store=True,
-            telemetry=telemetry,
-        )
-    else:
-        service = QueryService(
-            artifact_path,
-            workers=workers,
-            window_s=window_s,
-            adaptive_window=adaptive_window,
-            max_batch=max_batch,
-            cache_size=cache_size,
-            telemetry=telemetry,
-        )
+        source = {"store": store, "owns_store": True}
+    service = QueryService(
+        workers=workers,
+        window_s=window_s,
+        adaptive_window=adaptive_window,
+        max_batch=max_batch,
+        cache_size=cache_size,
+        telemetry=telemetry,
+        **source,
+    )
     try:
         service.start()
         server = ReachServer(

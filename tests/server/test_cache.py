@@ -79,16 +79,16 @@ class TestStats:
 class TestBatchApi:
     def test_get_many_partitions_hits_and_misses(self):
         cache = ShardedLRUCache(16)
-        cache.put((0, 1), True)
-        answers, missing = cache.get_many([(0, 1), (2, 3), (4, 5)])
+        cache.put_many([(0, 1)], [True], epoch=0)
+        answers, missing = cache.get_many([(0, 1), (2, 3), (4, 5)], epoch=0)
         assert answers == [True, None, None]
         assert missing == [1, 2]
 
     def test_put_many_then_full_hit(self):
         cache = ShardedLRUCache(16)
         pairs = [(i, i + 1) for i in range(6)]
-        cache.put_many(pairs, [i % 2 == 0 for i in range(6)])
-        answers, missing = cache.get_many(pairs)
+        cache.put_many(pairs, [i % 2 == 0 for i in range(6)], epoch=3)
+        answers, missing = cache.get_many(pairs, epoch=3)
         assert missing == []
         assert answers == [True, False, True, False, True, False]
 
@@ -99,7 +99,7 @@ class TestDisabled:
         assert not cache.enabled
         cache.put((1, 2), True)
         assert cache.get((1, 2)) is None
-        answers, missing = cache.get_many([(1, 2), (3, 4)])
+        answers, missing = cache.get_many([(1, 2), (3, 4)], epoch=0)
         assert answers == [None, None]
         assert missing == [0, 1]
         stats = cache.stats()

@@ -73,6 +73,52 @@ class TestClosedLoop:
         assert report.total_requests == (len(pairs) + 6) // 7
 
 
+class TestUnansweredRequests:
+    def test_a_dropped_reply_is_an_error_not_a_false(self):
+        import socket
+        import threading
+
+        from repro.server import protocol as proto
+
+        # A server that answers every request True, except request 3,
+        # whose reply it silently drops.
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve_one_connection():
+            conn, _ = listener.accept()
+            reader = proto.FrameReader(conn)
+            try:
+                while (frame := reader.read_frame()) is not None:
+                    _op, request_id, payload = frame
+                    if request_id != 3:
+                        n = len(proto.decode_pairs(payload))
+                        conn.sendall(proto.pack_frame(
+                            proto.OP_ANSWERS, request_id,
+                            proto.encode_answers([True] * n),
+                        ))
+            except OSError:
+                pass
+            finally:
+                conn.close()
+
+        thread = threading.Thread(target=serve_one_connection, daemon=True)
+        thread.start()
+        try:
+            pairs = [(i, i + 1) for i in range(8)]
+            report = run_load(
+                *listener.getsockname(), pairs, connections=1, pipeline=4,
+                timeout=1.0,
+            )
+        finally:
+            listener.close()
+            thread.join(5.0)
+        assert report.errors == 1
+        assert "no reply" in report.first_error
+        assert report.answers[3] is None  # nothing made up for it
+        assert report.answers[:3] + report.answers[4:] == [True] * 7
+        assert report.positives == 7
+
+
 class TestOpenLoop:
     def test_fixed_rate_run(self, served):
         server, pairs, expected = served
@@ -170,19 +216,39 @@ class TestReconnect:
                         reconnect_attempts=0)
 
     def test_connect_timeout_bounds_the_first_dial(self):
+        import select
+        import socket
         import time
 
         from repro.server import ReachClient
 
-        # RFC 5737 TEST-NET: packets go nowhere, the dial must time out.
-        client = ReachClient(
-            "192.0.2.1", 7430, connect_timeout=0.3, reconnect_attempts=0
-        )
-        t0 = time.monotonic()
-        with pytest.raises(ConnectionError):
-            client.ping()
-        assert time.monotonic() - t0 < 5.0
-        client.close()
+        # A local listener whose accept backlog is kept full: the
+        # kernel drops further SYNs, so a dial hangs until it times out.
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(0)
+        address = listener.getsockname()
+        fillers = []
+        try:
+            for _ in range(64):
+                filler = socket.socket()
+                filler.setblocking(False)
+                filler.connect_ex(address)
+                fillers.append(filler)
+                _, writable, _ = select.select([], [filler], [], 0.2)
+                if not writable:
+                    break  # this dial hangs: the backlog is full
+            else:
+                pytest.fail("could not fill the listener's accept backlog")
+            t0 = time.monotonic()
+            with pytest.raises(ConnectionError) as info:
+                ReachClient(*address, connect_timeout=0.3, reconnect_attempts=0)
+            assert time.monotonic() - t0 < 5.0
+            assert isinstance(info.value.__cause__, TimeoutError)
+        finally:
+            for filler in fillers:
+                filler.close()
+            listener.close()
 
     def test_unsequenced_updates_are_never_retried_across_reconnects(
         self, served

@@ -18,7 +18,7 @@ from repro.facade import Reachability
 from repro.graph.generators import citation_dag, random_dag
 from repro.serialization import load_artifact
 from repro.server import QueryService, ReachClient, ReachServer, serve_artifact
-from repro.server.service import HttpFrontend
+from repro.server.service import HttpFrontend, WorkerPool
 
 ALL_METHODS = [
     "BFS", "DFS", "GL", "GL*", "PT", "PT*", "KR", "PW8", "INT",
@@ -123,9 +123,25 @@ class TestWorkerPool:
         bad.write_bytes(b"not an artifact at all")
         t0 = time.monotonic()
         with pytest.raises(RuntimeError, match="died loading"):
-            QueryService(str(bad), workers=1).start()
+            WorkerPool(str(bad), 1, initial_epoch=0)
         # short-slice polling, not the full 60s start timeout
         assert time.monotonic() - t0 < 30
+        # The service maps epoch 0 itself, before any worker exists.
+        with pytest.raises(ValueError, match="not a repro artifact"):
+            QueryService(str(bad), workers=1)
+
+    def test_close_stops_workers_cleanly(self, pipeline_artifact):
+        import time
+
+        path, pairs, expected = pipeline_artifact
+        service = QueryService(path, workers=2, cache_size=0).start()
+        assert service.query_pairs(pairs) == expected
+        procs = list(service._pool._procs)
+        t0 = time.monotonic()
+        service.close()
+        assert time.monotonic() - t0 < 2.0
+        # Each worker took the exit sentinel; none had to be SIGTERMed.
+        assert [p.exitcode for p in procs] == [0, 0]
 
     def test_close_is_idempotent_and_clean(self, pipeline_artifact):
         path, pairs, _expected = pipeline_artifact

@@ -127,9 +127,9 @@ class _BoomStats:
 class TestStatsDegradation:
     def test_broken_subsection_is_named_not_swallowed(self, artifact):
         path, pairs, expected = artifact
-        service = QueryService(path, workers=0, telemetry=_sample_all()).start()
+        boom = _BoomStats(Reachability.load(path))
+        service = QueryService(oracle=boom, telemetry=_sample_all()).start()
         try:
-            service._oracle = _BoomStats(service._oracle)
             assert service.query_pairs(pairs) == expected  # serving survives
             doc = service.stats()
             assert doc["degraded"] == ["oracle"]

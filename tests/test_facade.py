@@ -204,6 +204,30 @@ class TestServeLifecycle:
         finally:
             server.close()
 
+    def test_closing_its_server_leaves_a_loaded_facade_answering(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.artifact import Artifact
+        from repro.server import ReachClient
+
+        closed = []
+        real_close = Artifact.close
+        monkeypatch.setattr(
+            Artifact, "close", lambda art: (closed.append(art), real_close(art))
+        )
+        path = str(tmp_path / "p.rpro")
+        Reachability(self._cyclic_graph()).save(path)
+        served = Reachability.load(path)
+        server = served.serve()  # in-process: the facade is epoch 0
+        with ReachClient(*server.address) as client:
+            assert client.query(0, 5) is True
+        server.close()
+        # The server's store never mapped the facade, so it must not
+        # try to unmap it either.
+        assert not any(art is served.index.artifact for art in closed)
+        assert served.query(0, 5) is True
+        assert served.query_batch([(5, 0), (1, 0)]) == [False, True]
+
     def test_serve_mode_with_deleted_artifact_raises_clearly(self, tmp_path):
         import os
 
