@@ -803,8 +803,16 @@ def _top_line(doc: dict, prev: Optional[dict], elapsed: float) -> str:
         for name in ("p50", "p95", "p99", "p99.9")
     ) if pct else "p50=- p95=- p99=- p99.9=-"
 
+    # Like the request rate, the hit rate covers the refresh window:
+    # lifetime on the first poll, hit/miss deltas afterwards (``-``
+    # when the window saw no lookups).
     cache = doc.get("cache") or {}
     hit = cache.get("hit_rate")
+    prev_cache = (prev or {}).get("cache")
+    if prev_cache:
+        hits = cache.get("hits", 0) - prev_cache.get("hits", 0)
+        lookups = hits + cache.get("misses", 0) - prev_cache.get("misses", 0)
+        hit = hits / lookups if lookups > 0 else None
     hit_s = f"{hit * 100.0:5.1f}%" if isinstance(hit, (int, float)) else "    -"
     epoch = doc.get("epoch")
     age = gauges.get("repro_epoch_age_seconds")

@@ -388,8 +388,6 @@ class ReplicaRouter:
         self._inflight = 0
         self._requests = 0
         self._slices = 0
-        self._retries = 0
-        self._hedges = 0
         self._hedge_wins = 0
         self._shed = 0
         self._failed = 0
@@ -616,8 +614,6 @@ class ReplicaRouter:
         last_exc: Optional[BaseException] = None
         for attempt in range(1, self.max_attempts + 1):
             if attempt > 1:
-                with self._stat_lock:
-                    self._retries += 1
                 self._retry_counter.inc()
                 time.sleep(self._backoff(attempt - 1))
             name = self._pick(tried)
@@ -686,8 +682,6 @@ class ReplicaRouter:
                 hedge_at = None
                 alt = self._pick([n for n, _ in waiters])
                 if alt is not None and all(alt != n for n, _ in waiters):
-                    with self._stat_lock:
-                        self._hedges += 1
                     self._hedge_counter.inc()
                     waiters.append(
                         (alt, self._links[alt].submit(proto.OP_QUERY, payload))
@@ -745,8 +739,8 @@ class ReplicaRouter:
                 "requests": self._requests,
                 "slices": self._slices,
                 "inflight": self._inflight,
-                "retries": self._retries,
-                "hedges": self._hedges,
+                "retries": self._retry_counter.value,
+                "hedges": self._hedge_counter.value,
                 "hedge_wins": self._hedge_wins,
                 "shed": self._shed,
                 "failed": self._failed,

@@ -17,28 +17,30 @@ or passing them on:
    disjoint hop ranges certify negatives (this alone kills most
    negatives on every benchmark family), equal minima or maxima
    certify positives.
-3b. **head bitset** — 128 bits of low hop ids per vertex, one AND over
+4. **head bitset** — 128 bits of low hop ids per vertex, one AND over
    the survivors certifies positives.  Sample-gated: hub-concentrated
    labelings resolve most positives here, spread-out ones skip it.
-4. **interval filter** (graph-backed) — GRAIL-style containment over
+5. **interval filter** (graph-backed) — GRAIL-style containment over
    the sort-based rounds of :mod:`repro.kernels.grail`; violated
    containment certifies negatives.  Sample-gated: on dense
    reachability structures it filters nothing and would be pure
    overhead.
-5. **tier-2 bitset** — chunks 2..15 of the hop space (hops 128-1023) as
-   a second positive certificate, sample-gated, for survivors only.
-6. **residual** — the undecided rest, by exact label intersection:
-   a scalar loop for tiny counts; otherwise each pair expands its
-   *smaller* label and probes the other side's ``(vertex, hop)``
-   membership through an open-addressing hash table (one gather per
-   element in the common case — binary search pays ~log(len) gathers).
-   When the packed keys overflow int32 the probe falls back to a
-   lock-step binary search of the arena slices.
+6. **residual** — the undecided rest, by exact label intersection
+   ``Lout(u) ∩ Lin(v) ≠ ∅``: each pair expands its *smaller* label
+   once and every element is looked up by a lock-step binary search of
+   the other side's sorted arena slice, all pairs in one batch.
 
-Every stage is exact, so stage and strategy selection can never change
-answers — only timings.  Thresholds were tuned with
-``benchmarks/bench_kernels.py`` (see ``BENCH_kernels.json``) and the
-committed ``BENCH_vectorized_*.json`` artifacts.
+The residual builds no index of its own.  An open-addressing hash table
+of ``(vertex, hop)`` keys, early-exit probing of the first label
+columns, a second bitset over hops 128-1023 and a scalar loop for small
+residuals were removed after measuring them against this one path on
+citation-40000 (perfbench ``paper``, 10 alternating runs each): they
+held 26 MB per loaded oracle and added about 0.15 s to the first batch
+after a load, while equal and random query times without them stayed
+within the run-to-run spread, and every run answered correctly.
+
+Every stage is exact, so stage selection can never change answers —
+only timings.
 """
 
 from __future__ import annotations
@@ -63,9 +65,6 @@ _MASK_LABELS_MIN_N = 4096
 
 #: Head bitset: 2 uint64 words per vertex = hop ids below 128.
 _HEAD_CHUNKS = 2
-#: Tier-2 bitset: chunks 2..15 = hop ids 128..1023.
-_TIER2_CHUNKS = 14
-_TIER2_BASE = _HEAD_CHUNKS * 64
 
 #: Interval rounds built for the negative filter.  Five rounds: each
 #: surviving-pair test is two gathers, and on the dense families the
@@ -87,28 +86,6 @@ _STAGE_MIN_DECIDE = 0.05
 #: it the batch goes straight to the residual (labelings whose common
 #: hops are spread across the rank space gain nothing from bitsets).
 _HEAD_MIN_HIT = 0.05
-
-#: Minimum sampled hit rate for the tier-2 bitset to run in full: the
-#: full gather costs ~0.2 ms per 1000 undecided pairs, so a marginal
-#: hit rate loses to just running the residual on those pairs.
-_TIER2_MIN_HIT = 0.25
-
-#: Residual counts at or below this go through the scalar loop (per
-#: pair ~1 µs) instead of the vectorized paths (fixed ~0.4 ms).
-_SCALAR_RESIDUAL = 512
-
-#: Hash-probe membership tables pack ``vertex * n + hop`` into int32 —
-#: usable while n² fits a signed 32-bit key.
-_HASH_MAX_N = 46340
-
-#: Early-exit probing: the first columns of each pair's smaller label
-#: are probed one at a time (positives usually resolve within a couple
-#: of hops); pairs still undecided after this many columns fall through
-#: to one batched probe of their remaining elements.
-_EARLY_COLUMNS = 4
-#: Column 0 is always probed alone; further per-column rounds only pay
-#: when they actually retire pairs, so they require this hit rate.
-_EARLY_MIN_HIT = 0.2
 
 _BIG = 1 << 60
 
@@ -151,11 +128,8 @@ class BatchQueryEngine:
         # min/max-equality test first.
         self.range_out = self._minmax(self.OH, self.OO, _BIG, -1)
         self.range_in = self._minmax(self.IH, self.IO, _BIG - 1, -2)
-        self.head_out = self._bitset(self.OH, self.OO, 0, _HEAD_CHUNKS)
-        self.head_in = self._bitset(self.IH, self.IO, 0, _HEAD_CHUNKS)
-        self.tier2_out = self._bitset(self.OH, self.OO, _TIER2_BASE, _TIER2_CHUNKS)
-        self.tier2_in = self._bitset(self.IH, self.IO, _TIER2_BASE, _TIER2_CHUNKS)
-        self._hash_tables = {}  # side -> (table, bits), built lazily
+        self.head_out = self._head_bitset(self.OH, self.OO)
+        self.head_in = self._head_bitset(self.IH, self.IO)
 
         self.height = None
         self.rounds = []
@@ -213,20 +187,20 @@ class BatchQueryEngine:
             sig[:, 1] = empty_max
         return sig
 
-    def _bitset(self, hops, offs, base: int, chunks: int):
-        """``(n, chunks)`` bit rows over hop ids ``[base, base + 64·chunks)``."""
+    def _head_bitset(self, hops, offs):
+        """``(n, _HEAD_CHUNKS)`` bit rows over hop ids ``[0, 64·_HEAD_CHUNKS)``."""
         np = self.np
-        mask = np.zeros((self.n, chunks), dtype=np.int64)
+        mask = np.zeros((self.n, _HEAD_CHUNKS), dtype=np.int64)
         if len(hops):
-            sel = (hops >= base) & (hops < base + chunks * 64)
+            sel = hops < _HEAD_CHUNKS * 64
             if sel.any():
                 rows = np.repeat(
                     np.arange(self.n, dtype=np.int64), offs[1:] - offs[:-1]
                 )[sel]
-                vals = hops[sel].astype(np.int64) - base
+                vals = hops[sel].astype(np.int64)
                 np.bitwise_or.at(
                     mask.reshape(-1),
-                    rows * chunks + (vals >> 6),
+                    rows * _HEAD_CHUNKS + (vals >> 6),
                     np.int64(1) << (vals & 63),
                 )
         return mask
@@ -306,13 +280,18 @@ class BatchQueryEngine:
                 res[alive[positive]] = True
                 alive = alive[~positive & ~negative]
 
-        # Stage 3b: head bitset certificate (sample-gated).
+        # Stage 4: head bitset certificate (sample-gated).
         if len(alive):
-            alive = self._bitset_stage(
-                res, u, v, alive, self.head_out, self.head_in, _HEAD_MIN_HIT
-            )
+            hout, hin = self.head_out, self.head_in
+            sample = alive[:_SAMPLE]
+            hit = (hout[u[sample]] & hin[v[sample]]).any(axis=1)
+            if hit.sum() / len(sample) >= _HEAD_MIN_HIT:
+                if len(sample) != len(alive):
+                    hit = (hout[u[alive]] & hin[v[alive]]).any(axis=1)
+                res[alive[hit]] = True
+                alive = alive[~hit]
 
-        # Stage 4: interval filter (sample-gated).
+        # Stage 5: interval filter (sample-gated).
         if self.rounds and len(alive):
             if self._sampled_interval_kill(u, v, alive) >= _IV_MIN_KILL:
                 for low, post in self.rounds:
@@ -321,37 +300,10 @@ class BatchQueryEngine:
                     if not len(alive):
                         break
 
-        # Stage 5: tier-2 bitset certificate (sample-gated).
-        if len(alive):
-            alive = self._bitset_stage(
-                res, u, v, alive, self.tier2_out, self.tier2_in, _TIER2_MIN_HIT
-            )
-
         # Stage 6: residual — exact intersection for what is left.
         if len(alive):
-            if len(alive) <= _SCALAR_RESIDUAL:
-                for i, (x, y) in zip(
-                    alive.tolist(), zip(u[alive].tolist(), v[alive].tolist())
-                ):
-                    res[i] = query(x, y)
-            else:
-                hit = self._residual(u[alive], v[alive])
-                res[alive[hit]] = True
+            res[alive[self._residual(u[alive], v[alive])]] = True
         return res.tolist()
-
-    def _bitset_stage(self, res, u, v, alive, out_bits, in_bits, min_hit):
-        """Run one positive-certificate bitset stage if a sampled probe
-        shows it decides at least ``min_hit`` of this workload."""
-        sample = alive[:_SAMPLE]
-        hit = (out_bits[u[sample]] & in_bits[v[sample]]).any(axis=1)
-        if hit.sum() / len(sample) < min_hit:
-            return alive
-        if len(sample) == len(alive):
-            hits = hit
-        else:
-            hits = (out_bits[u[alive]] & in_bits[v[alive]]).any(axis=1)
-        res[alive[hits]] = True
-        return alive[~hits]
 
     def _sampled_interval_kill(self, u, v, alive) -> float:
         sample = alive[:_SAMPLE]
@@ -365,133 +317,60 @@ class BatchQueryEngine:
     # Residual: exact per-pair intersection
     # ------------------------------------------------------------------
     def _residual(self, ur, vr):
-        """Probe each pair's smaller label against the other side.
+        """Whether ``Lout(ur_i) ∩ Lin(vr_i)`` is non-empty, per i.
 
-        The first ``_EARLY_COLUMNS`` label entries are probed one column
-        at a time with per-pair early exit — a positive pair usually
-        shares one of its first few (highest-ranked) hops, so most
-        positives finish after one or two probes.  Whatever remains
-        (negatives, deep positives) is expanded once and probed in one
-        batch.
+        Each pair expands its smaller label once; every element is
+        looked up in the other side's sorted slice, and a pair is
+        positive when any of its elements is found.
         """
         np = self.np
         res = np.zeros(len(ur), dtype=bool)
-        alen = self.OO[ur + 1] - self.OO[ur]
-        blen = self.IO[vr + 1] - self.IO[vr]
-        small_b = blen <= alen
+        small_in = self.IO[vr + 1] - self.IO[vr] <= self.OO[ur + 1] - self.OO[ur]
         jobs = (
-            (small_b, self.IO, self.IH, "out", vr, ur),
-            (~small_b, self.OO, self.OH, "in", ur, vr),
+            (small_in, self.IO, self.IH, vr, self.OO, self.OH, ur),
+            (~small_in, self.OO, self.OH, ur, self.IO, self.IH, vr),
         )
-        for sel, eoffs, evals, probe_side, esrc_all, ssrc_all in jobs:
+        for sel, eoffs, evals, esrc, soffs, svals, ssrc in jobs:
             idxs = np.nonzero(sel)[0]
             if not len(idxs):
                 continue
-            esrc = esrc_all[idxs]
-            ssrc = ssrc_all[idxs]
-            start = eoffs[esrc]
-            lens = eoffs[esrc + 1] - start
-            # --- early-exit columns -------------------------------------
-            active = np.nonzero(lens > 0)[0]
-            k = 0
-            while len(active) and k < _EARLY_COLUMNS:
-                x = evals[start[active] + k]
-                hit = self._probe_one(probe_side, ssrc[active], x)
-                res[idxs[active[hit]]] = True
-                rate = hit.sum() / len(active)
-                k += 1
-                active = active[~hit]
-                if len(active):
-                    active = active[lens[active] > k]
-                if rate < _EARLY_MIN_HIT:
-                    break  # negative-heavy: finish in one batched probe
-            # --- batched tail -------------------------------------------
-            if len(active):
-                tail_src = esrc[active]
-                tail_lens = lens[active] - k
-                csum = np.cumsum(tail_lens)
-                total = int(csum[-1])
-                if total:
-                    e_pair = np.repeat(
-                        np.arange(len(active), dtype=np.int64), tail_lens
-                    )
-                    ramp = np.arange(total, dtype=np.int64) - np.repeat(
-                        csum - tail_lens, tail_lens
-                    )
-                    x = evals[np.repeat(eoffs[tail_src] + k, tail_lens) + ramp]
-                    hit = self._probe_one(probe_side, ssrc[active][e_pair], x)
-                    got = np.bincount(e_pair[hit], minlength=len(active)) > 0
-                    res[idxs[active[got]]] = True
+            src = esrc[idxs]
+            start = eoffs[src]
+            lens = eoffs[src + 1] - start
+            total = int(lens.sum())
+            if not total:
+                continue
+            pair = np.repeat(np.arange(len(idxs), dtype=np.int64), lens)
+            # Flat element k of pair i is evals[start_i + k - first_i],
+            # where first_i is the flat index of pair i's first element.
+            skew = np.repeat(start - (np.cumsum(lens) - lens), lens)
+            x = evals[skew + np.arange(total, dtype=np.int64)]
+            probe = ssrc[idxs][pair]
+            hit = self._slice_contains(svals, soffs[probe], soffs[probe + 1], x)
+            res[idxs[pair[hit]]] = True
         return res
-
-    def _probe_one(self, probe_side, vertices, hops):
-        """Membership of each ``(vertex, hop)`` in one side's labels."""
-        table = self._hash_table(probe_side)
-        if table is not None:
-            return self._hash_contains(table, vertices, hops)
-        soffs, svals = (
-            (self.OO, self.OH) if probe_side == "out" else (self.IO, self.IH)
-        )
-        lo = soffs[vertices]
-        hi = soffs[vertices + 1]
-        return self._slice_contains(svals, lo, hi, hops)
-
-    def _hash_table(self, side):
-        """Lazy open-addressing ``(vertex, hop)`` membership table.
-
-        Keys pack as ``vertex * n + hop`` into int32 (``None`` when the
-        hop space is too large — callers fall back to binary search).
-        Shared machinery: :func:`repro.kernels.frontier.hashset_build`.
-        """
-        cached = self._hash_tables.get(side)
-        if cached is not None:
-            return cached
-        if self.n > _HASH_MAX_N or self.n == 0:
-            return None
-        np = self.np
-        from .frontier import hashset_build
-
-        offs, vals = (self.OO, self.OH) if side == "out" else (self.IO, self.IH)
-        if not len(vals):
-            return None
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), offs[1:] - offs[:-1])
-        keys = (rows * self.n + vals).astype(np.int32)
-        result = hashset_build(np, keys)
-        self._hash_tables[side] = result
-        return result
-
-    def _hash_contains(self, table_bits, vertices, hops):
-        """Vectorized membership probes: resolve on hit or empty slot."""
-        from .frontier import hashset_contains
-
-        keys = (vertices * self.n + hops).astype(self.np.int32)
-        return hashset_contains(self.np, table_bits, keys)
 
     def _slice_contains(self, vals, lo, hi, x):
         """Whether sorted ``vals[lo_i:hi_i]`` contains ``x_i``, per i.
 
-        Fixed-depth lock-step binary search: every element runs
-        ``ceil(log2(max_width))`` rounds (converged elements keep
-        ``lo == hi`` stable), which drops the per-round convergence
-        bookkeeping entirely.
+        Every slice must be non-empty (the residual only probes a side
+        at least as long as the expanded one).  Branchless lock-step
+        lower bound: each round halves every element's candidate range
+        ``[base, base + width]`` with one gather, and elements already
+        down to width 1 add zero, so all of them run the same
+        ``ceil(log2(max_width))`` rounds without convergence
+        bookkeeping.
         """
         np = self.np
-        nv = len(vals)
-        if not nv or not len(x):
-            return np.zeros(len(x), dtype=bool)
-        hi_orig = hi
-        lo = lo.copy()
-        hi = hi.copy()
-        max_width = int((hi - lo).max())
-        rounds = max_width.bit_length()
-        last = nv - 1
-        for _ in range(rounds):
-            mid = (lo + hi) >> 1
-            go = (vals[np.minimum(mid, last)] < x) & (lo < hi)
-            lo = np.where(go, mid + 1, lo)
-            hi = np.where(go | (lo >= hi), hi, mid)
-        found = lo < hi_orig
-        found &= vals[np.minimum(lo, last)] == x
+        base = lo.copy()
+        width = hi - lo
+        for _ in range(int(width.max() - 1).bit_length()):
+            half = width >> 1
+            base += half * (vals[base + half] < x)
+            width -= half
+        base += vals[base] < x  # the lower bound of x_i
+        found = vals[np.minimum(base, len(vals) - 1)] == x
+        found &= base < hi
         return found
 
 

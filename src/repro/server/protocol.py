@@ -512,7 +512,12 @@ def make_http_handler(service, allow_shutdown: bool = True):
 
             telemetry = getattr(service, "telemetry", None)
             registry = None if telemetry is None else telemetry.registry
-            body = render_prometheus(registry, service.stats()).encode("utf-8")
+            # ``stats()["telemetry"]`` is a snapshot of ``registry``,
+            # which render_prometheus already emits as typed series;
+            # flattening it too would export every instrument twice.
+            doc = service.stats()
+            doc.pop("telemetry", None)
+            body = render_prometheus(registry, doc).encode("utf-8")
             self.send_response(200)
             self.send_header("Content-Type", "text/plain; version=0.0.4")
             self.send_header("Content-Length", str(len(body)))

@@ -126,10 +126,16 @@ class TestLifecycle:
 
     def test_proxy_to_nowhere_rejects_connections(self):
         with ChaosProxy("127.0.0.1", 1) as chaos:
-            client = ReachClient(
-                chaos.host, chaos.port, reconnect_attempts=1,
-                reconnect_backoff_s=0.01, timeout=2.0,
-            )
+            # The proxy accepts, fails its upstream dial and resets the
+            # client; the reset can land before the client's own dial
+            # completes, so the rejection may surface from the
+            # constructor (which dials eagerly) or from the first call.
             with pytest.raises((ConnectionError, RuntimeError)):
-                client.ping()
-            client.close()
+                client = ReachClient(
+                    chaos.host, chaos.port, reconnect_attempts=1,
+                    reconnect_backoff_s=0.01, timeout=2.0,
+                )
+                try:
+                    client.ping()
+                finally:
+                    client.close()

@@ -145,3 +145,66 @@ def test_generator_input_is_materialised():
     rng = random.Random(0)
     pairs = [(rng.randrange(80), rng.randrange(80)) for _ in range(200)]
     assert idx.query_batch(iter(pairs)) == idx.query_batch(pairs)
+
+
+def _residual_counts(engine):
+    """Record how many pairs each batch sends to the residual stage."""
+    counts = []
+    residual = engine._residual
+
+    def spy(ur, vr):
+        counts.append(len(ur))
+        return residual(ur, vr)
+
+    engine._residual = spy
+    return counts
+
+
+def test_large_residual_matches_scalar():
+    """Hops above the head bitset's 128 ids with overlapping ranges: the
+    range and head stages decide almost nothing, so thousands of pairs
+    (both label sides the smaller one, some labels empty) reach the
+    residual."""
+    from repro.core.labels import LabelSet
+
+    rng = random.Random(11)
+    n = 1200
+    labels = LabelSet(n)
+    sizes = (0, 1, 4, 9, 16, 30)
+    for v in range(n):
+        labels.lout[v] = sorted(rng.sample(range(128, n), rng.choice(sizes)))
+        labels.lin[v] = sorted(rng.sample(range(128, n), rng.choice(sizes)))
+    labels.seal()
+    engine = BatchQueryEngine(np, labels)
+    counts = _residual_counts(engine)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(6000)]
+    got = engine.query_batch(pairs)
+    assert got == labels.query_batch(pairs)
+    assert counts and counts[0] > 512
+    assert 0 < sum(got) < len(pairs)
+
+
+def test_residual_on_hop_space_beyond_int32_packing():
+    """A sparse label set on ``n`` above 46340, where ``vertex * n + hop``
+    overflows int32: the residual must not depend on such packing."""
+    from repro.core.labels import LabelSet
+
+    rng = random.Random(12)
+    n = 50_000
+    ls = LabelSet(n)
+    # Sparse: a few hundred labelled vertices, hops spread over all of n
+    # (the top ones included) so the range stage leaves most pairs open.
+    hubs = [n - 1, n - 2, 40_000, 46_341] + rng.sample(range(n), 60)
+    labelled = rng.sample(range(n), 400)
+    for v in labelled:
+        ls.lout[v] = sorted(rng.sample(hubs, rng.randrange(1, 12)))
+        ls.lin[v] = sorted(rng.sample(hubs, rng.randrange(1, 12)))
+    ls.seal()
+    engine = BatchQueryEngine(np, ls)
+    counts = _residual_counts(engine)
+    pairs = [(rng.choice(labelled), rng.choice(labelled)) for _ in range(5000)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(500)]
+    got = engine.query_batch(pairs)
+    assert got == ls.query_batch(pairs)
+    assert counts and counts[0] > 512
+    assert 0 < sum(got) < len(pairs)

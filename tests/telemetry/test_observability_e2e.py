@@ -178,6 +178,10 @@ class TestHttpScrape:
         assert buckets[-1][0].endswith('le="+Inf"}')
         assert buckets[-1][1] >= 1
         assert samples["repro_stats_requests"][0][1] >= 1
+        # the registry renders once, as typed series, not again as
+        # flattened ``stats()["telemetry"]`` gauges
+        assert samples["repro_request_seconds_count"][0][1] >= 1
+        assert not [s for s in samples if s.startswith("repro_stats_telemetry_")]
 
     def test_get_traces_returns_exemplars(self, http_server):
         service, http = http_server

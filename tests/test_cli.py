@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _top_line, main
 
 
 class TestCli:
@@ -224,3 +224,56 @@ class TestServeSubcommand:
         assert doc["shutting_down"] is True
         thread.join(timeout=15)
         assert not thread.is_alive() and rc == [0]
+
+
+def _stats_doc(hits, misses, requests):
+    """A minimal ``OP_STATS`` document as ``top`` reads it."""
+    lookups = hits + misses
+    return {
+        "epoch": 3,
+        "cache": {
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": hits / lookups if lookups else 0.0,
+        },
+        "telemetry": {
+            "histograms": {
+                "repro_request_seconds": {
+                    "count": requests,
+                    "sum": requests * 1000,
+                    "unit": "ns",
+                    "buckets": {"10": requests},
+                },
+            },
+            "gauges": {},
+        },
+    }
+
+
+class TestTopLine:
+    def test_first_poll_reports_lifetime_rates(self):
+        line = _top_line(_stats_doc(30, 10, 100), None, 10.0)
+        assert "cache  75.0%" in line
+        assert line.lstrip().startswith("10 q/s")
+
+    def test_later_polls_report_the_refresh_window(self):
+        prev = _stats_doc(30, 10, 100)
+        # lifetime hit rate is now 31/50 = 62%; the window saw 1 of 10
+        line = _top_line(_stats_doc(31, 19, 150), prev, 5.0)
+        assert "cache  10.0%" in line
+        assert "62.0%" not in line
+        assert line.lstrip().startswith("10 q/s")
+
+    def test_window_without_lookups_has_no_hit_rate(self):
+        doc = _stats_doc(30, 10, 100)
+        assert "cache     - |" in _top_line(doc, doc, 5.0)
+
+    def test_missing_sections_render_as_dashes(self):
+        line = _top_line({}, None, 1.0)
+        assert "p50=- p95=- p99=- p99.9=-" in line
+        assert "cache     - |" in line
+        assert "epoch - (age -)" in line
+        assert "fsync lag -" in line
+        # a server without a cache stays ``-`` on later polls too
+        assert "cache     - |" in _top_line({}, {}, 1.0)
+        assert "cache     - |" in _top_line({}, {"cache": {}}, 1.0)
